@@ -235,11 +235,19 @@ func deltaClamp(after, before int64) int64 {
 	return 0
 }
 
+// RouteMasked is the route of a product the mask-first SpGEMM kernel served.
+// The caller sets it at execution time from the kernel router's own
+// decision, so resolveRoute leaves it as it is.
+const RouteMasked = "masked"
+
 // resolveRoute refines an adaptive route request with the counter deltas the
 // kernel actually produced: "auto" becomes the accumulator(s) observed, and
 // any route a monomorphized semiring kernel served gains a "+mono" suffix.
 func resolveRoute(ev *Event) string {
 	route := ev.Route
+	if route == RouteMasked {
+		return route
+	}
 	if route == "auto" {
 		switch {
 		case ev.DenseRanges > 0 && ev.HashRanges > 0:

@@ -160,6 +160,12 @@ func TestResolveRoute(t *testing.T) {
 				c.route, c.dense, c.hash, got, c.want)
 		}
 	}
+	// The masked route is set exactly by the caller: no delta refines it,
+	// not even a concurrent kernel's mono or blocked counts.
+	ev := &Event{Route: RouteMasked, DenseRanges: 1, MonoKernels: 1, BlockedOps: 1}
+	if got := resolveRoute(ev); got != RouteMasked {
+		t.Errorf("resolveRoute(masked) = %q, want %q", got, RouteMasked)
+	}
 }
 
 func TestMetricsOpsSorted(t *testing.T) {

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+
+	"github.com/grblas/grb/gen"
 )
 
 // Kernel-level microbenchmarks: the raw substrate costs underneath the
@@ -66,6 +68,86 @@ func BenchmarkKernelSpGEMMMasked(b *testing.B) {
 			SpGEMM(a, a, mulF, addF, Mask{M: mask, Structural: true}, 1)
 		}
 	})
+}
+
+// trilRMAT returns L = tril(A, -1) of the symmetrized Graph500 RMAT graph
+// at the given scale, with unit int64 values, and its structural pattern.
+func trilRMAT(scale int) (*CSR[int64], *CSR[bool]) {
+	g := gen.Graph500RMAT(scale, 16, 1).Symmetrize()
+	var I, J []int
+	for k := range g.Src {
+		if g.Src[k] > g.Dst[k] {
+			I, J = append(I, g.Src[k]), append(J, g.Dst[k])
+		}
+	}
+	X := make([]int64, len(I))
+	for k := range X {
+		X[k] = 1
+	}
+	l, err := BuildCSR(g.N, g.N, I, J, X, func(a, b int64) int64 { return b })
+	if err != nil {
+		panic(err)
+	}
+	return l, patternOf(l)
+}
+
+// BenchmarkSpGEMMMasked compares the mask-first kernel (the routed masked
+// product) with the spec's definition, the unmasked product followed by
+// MaskApplyM, on two inputs: triangle counting's C⟨L⟩ = L +.pair L on an
+// RMAT-14 graph (plus-pair is a monomorphized semiring, so the unmasked arm
+// runs the mono loop), and a float64 plus-times product whose mask keeps a
+// third of the product's entries. BlockFlat keeps both arms off the blocked
+// engine.
+func BenchmarkSpGEMMMasked(b *testing.B) {
+	l, lMask := trilRMAT(14)
+	pair := func(x, y int64) int64 { return 1 }
+	plus := func(x, y int64) int64 { return x + y }
+
+	a := benchMatrix(2048, 10)
+	full := SpGEMMKernel(a, a, mulF, addF, Mask{}, 1, KernelAuto)
+	third := patternOf(full)
+	third.Val = make([]bool, len(third.Ind))
+	for k := range third.Val {
+		third.Val[k] = k%3 == 0
+	}
+
+	for _, threads := range []int{1, 2} {
+		e := Exec{Threads: threads, Block: BlockFlat}
+		trilMask := Mask{M: lMask, Structural: true}
+		b.Run(fmt.Sprintf("rmat14-tril/masked/threads=%d", threads), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := SpGEMMSemiEx(SemiPlusPair, SpecAuto, l, l, pair, plus, trilMask, e, KernelAuto); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("rmat14-tril/unmasked+apply/threads=%d", threads), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				t, err := SpGEMMSemiEx(SemiPlusPair, SpecAuto, l, l, pair, plus, Mask{}, e, KernelAuto)
+				if err != nil {
+					b.Fatal(err)
+				}
+				MaskApplyM(NewCSR[int64](l.Rows, l.Cols), t, trilMask, false, threads)
+			}
+		})
+		thirdMask := Mask{M: third}
+		b.Run(fmt.Sprintf("plustimes-third/masked/threads=%d", threads), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := SpGEMMSemiEx(SemiPlusTimes, SpecAuto, a, a, mulF, addF, thirdMask, e, KernelAuto); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("plustimes-third/unmasked+apply/threads=%d", threads), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				t, err := SpGEMMSemiEx(SemiPlusTimes, SpecAuto, a, a, mulF, addF, Mask{}, e, KernelAuto)
+				if err != nil {
+					b.Fatal(err)
+				}
+				MaskApplyM(NewCSR[float64](a.Rows, a.Cols), t, thirdMask, false, threads)
+			}
+		})
+	}
 }
 
 // hypersparseCSR builds an n×n matrix with ~nnz random entries: n ≫ nnz, so

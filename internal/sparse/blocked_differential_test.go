@@ -230,6 +230,30 @@ func TestBlockedRoutingGates(t *testing.T) {
 		t.Fatal("BlockAuto never engaged above the threshold")
 	}
 	identicalCSR(t, "auto-vs-flat", auto, flat)
+
+	// A masked product above the threshold: auto sends it to the mask-first
+	// kernel, while a BlockForce pin, per operation or process-wide, still
+	// runs the blocked plan.
+	mask := Mask{M: patternOf(big), Structural: true}
+	ResetKernelCounts()
+	if _, err := SpGEMMSemiEx(SemiGeneric, SpecGeneric, big, big, mul, add, mask,
+		Exec{Threads: 4, Block: BlockAuto}, KernelAuto); err != nil {
+		t.Fatal(err)
+	}
+	if ops, _ := BlockCounts(); ops != 0 {
+		t.Fatalf("BlockAuto blocked a masked product (ops=%d)", ops)
+	}
+	prevHint := SetBlockHint(BlockForce)
+	defer SetBlockHint(prevHint)
+	for _, e := range []Exec{{Threads: 4, Block: BlockForce}, {Threads: 4}} {
+		ResetKernelCounts()
+		if _, err := SpGEMMSemiEx(SemiGeneric, SpecGeneric, big, big, mul, add, mask, e, KernelAuto); err != nil {
+			t.Fatal(err)
+		}
+		if ops, _ := BlockCounts(); ops == 0 {
+			t.Fatalf("pinned BlockForce (exec %d) did not block a masked product", e.Block)
+		}
+	}
 }
 
 // TestBlockedViewTiles pins the view builder itself: tile concatenation

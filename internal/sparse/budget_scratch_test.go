@@ -61,7 +61,7 @@ func TestMonoSpGEMMStitchTableIsBudgeted(t *testing.T) {
 	add := func(x, y float64) float64 { return x + y }
 
 	small := NewBudget(4096).Tx()
-	_, handled, err := monoSpGEMMDispatch(SemiPlusTimes, a, b, mul, add, Mask{}, Exec{Threads: 1, Tx: small}, KernelAuto)
+	_, handled, err := monoSpGEMMDispatch(SemiPlusTimes, a, b, mul, add, Exec{Threads: 1, Tx: small}, KernelAuto)
 	if !handled {
 		t.Fatal("monoSpGEMMDispatch did not take the float64 plus-times family")
 	}
@@ -70,7 +70,7 @@ func TestMonoSpGEMMStitchTableIsBudgeted(t *testing.T) {
 	}
 
 	big := NewBudget(1 << 20).Tx()
-	got, handled, err := monoSpGEMMDispatch(SemiPlusTimes, a, b, mul, add, Mask{}, Exec{Threads: 1, Tx: big}, KernelAuto)
+	got, handled, err := monoSpGEMMDispatch(SemiPlusTimes, a, b, mul, add, Exec{Threads: 1, Tx: big}, KernelAuto)
 	if !handled || err != nil {
 		t.Fatalf("monomorphized product under a 1MiB budget: handled=%v err=%v", handled, err)
 	}

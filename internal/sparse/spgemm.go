@@ -37,10 +37,12 @@ func SpGEMM[A, B, C any](a *CSR[A], b *CSR[B], mul func(A, B) C, add func(C, C) 
 // row's pattern before emitting, so their outputs are identical down to
 // floating-point rounding — the property the differential harness asserts.
 //
-// If mask.M is non-nil (or mask.Complement is set), output entries are
-// filtered at emit time: only positions admitted by the mask are stored.
-// This is the "masked SpGEMM" used by e.g. Sandia triangle counting; it
-// prunes memory (and the sort) even though products are still formed.
+// If mask.M is non-nil (or mask.Complement is set), this kernel filters at
+// emit time: it forms and sorts every product and stores only the positions
+// the mask admits. That post-filter is the pinned closure reference the
+// differential tests hold the mask-first kernel to; routed products never
+// take it, because SpGEMMSemiEx sends masked products to spgemmMasked, which
+// forms products only at admitted positions (see MaskFirst).
 //
 // SpGEMMKernel is the unhardened compatibility form: it delegates to
 // SpGEMMKernelEx with a zero execution environment (no budget, no
